@@ -96,10 +96,16 @@ mod tests {
         assert_eq!(arena.live_bytes(), 150);
         arena.free(a).unwrap();
         assert_eq!(arena.live_blocks(), 1);
+        assert_eq!(arena.live_bytes(), 50);
         assert!(!arena.is_live(a));
         assert!(arena.is_live(b));
         assert_eq!(arena.total_allocs, 2);
         assert_eq!(arena.total_frees, 1);
+
+        assert_eq!(arena.free(a).unwrap_err(), ExtMemError::BadFree(a));
+        assert_eq!(arena.live_bytes(), 50, "a bad free changes nothing");
+        arena.free(b).unwrap();
+        assert_eq!(arena.live_bytes(), 0);
     }
 
     #[test]

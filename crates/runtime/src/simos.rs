@@ -9,8 +9,14 @@
 //! provides exactly those observables — a descriptor limit, counts of
 //! opens/closes/leaks, and durable file contents — so the finalization
 //! experiments can *measure* leaks instead of hand-waving about them.
+//!
+//! Descriptors are handed out lowest-free first, as POSIX `open` does.
+//! Freed slots wait in a min-heap, so an open or close costs O(log n) in
+//! the table size, and [`SimOs::open_count`] is the table size less the
+//! free slots, O(1), however many descriptors are open.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// A simulated file descriptor.
@@ -82,6 +88,8 @@ pub struct OsStats {
 pub struct SimOs {
     files: HashMap<String, Vec<u8>>,
     fds: Vec<Option<OpenFile>>,
+    /// Indices of the `None` slots in `fds`, lowest on top.
+    free: BinaryHeap<Reverse<u32>>,
     limit: usize,
     stats: OsStats,
 }
@@ -100,6 +108,7 @@ impl SimOs {
         SimOs {
             files: HashMap::new(),
             fds: Vec::new(),
+            free: BinaryHeap::new(),
             limit,
             stats: OsStats::default(),
         }
@@ -145,11 +154,9 @@ impl SimOs {
             return Err(OsError::TooManyOpen { limit: self.limit });
         }
         self.stats.opens += 1;
-        for (i, slot) in self.fds.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(open);
-                return Ok(Fd(i as u32));
-            }
+        if let Some(Reverse(i)) = self.free.pop() {
+            self.fds[i as usize] = Some(open);
+            return Ok(Fd(i));
         }
         self.fds.push(Some(open));
         Ok(Fd(self.fds.len() as u32 - 1))
@@ -183,13 +190,23 @@ impl SimOs {
             mode: Mode::Write,
             pos: 0,
         })?;
-        self.files.insert(path.into(), Vec::new());
+        match self.files.get_mut(path) {
+            Some(data) => data.clear(),
+            None => {
+                self.files.insert(path.into(), Vec::new());
+            }
+        }
         Ok(fd)
     }
 
-    fn open_file_mut(&mut self, fd: Fd, mode: Mode) -> Result<&mut OpenFile, OsError> {
-        let open = self
-            .fds
+    /// The open file behind `fd`, checked against `mode`. Takes the
+    /// table rather than `self` so callers can borrow `files` alongside.
+    fn open_file_mut(
+        fds: &mut [Option<OpenFile>],
+        fd: Fd,
+        mode: Mode,
+    ) -> Result<&mut OpenFile, OsError> {
+        let open = fds
             .get_mut(fd.0 as usize)
             .and_then(Option::as_mut)
             .ok_or(OsError::BadFd(fd))?;
@@ -205,13 +222,13 @@ impl SimOs {
     ///
     /// [`OsError::BadFd`] / [`OsError::WrongMode`].
     pub fn read(&mut self, fd: Fd, buf: &mut [u8]) -> Result<usize, OsError> {
-        let open = self.open_file_mut(fd, Mode::Read)?;
-        let path = open.path.clone();
-        let pos = open.pos;
-        let data = &self.files[&path];
-        let n = buf.len().min(data.len().saturating_sub(pos));
-        buf[..n].copy_from_slice(&data[pos..pos + n]);
-        self.open_file_mut(fd, Mode::Read)?.pos = pos + n;
+        let open = SimOs::open_file_mut(&mut self.fds, fd, Mode::Read)?;
+        // A position past the end (the file was truncated by a later
+        // `open_output`) reads as EOF.
+        let rest = self.files[&open.path].get(open.pos..).unwrap_or(&[]);
+        let n = buf.len().min(rest.len());
+        buf[..n].copy_from_slice(&rest[..n]);
+        open.pos += n;
         self.stats.bytes_read += n as u64;
         Ok(n)
     }
@@ -222,10 +239,9 @@ impl SimOs {
     ///
     /// [`OsError::BadFd`] / [`OsError::WrongMode`].
     pub fn write(&mut self, fd: Fd, bytes: &[u8]) -> Result<(), OsError> {
-        let open = self.open_file_mut(fd, Mode::Write)?;
-        let path = open.path.clone();
+        let open = SimOs::open_file_mut(&mut self.fds, fd, Mode::Write)?;
         self.files
-            .get_mut(&path)
+            .get_mut(&open.path)
             .expect("open file exists")
             .extend_from_slice(bytes);
         self.stats.bytes_written += bytes.len() as u64;
@@ -242,6 +258,7 @@ impl SimOs {
         if slot.take().is_none() {
             return Err(OsError::BadFd(fd));
         }
+        self.free.push(Reverse(fd.0));
         self.stats.closes += 1;
         Ok(())
     }
@@ -253,7 +270,7 @@ impl SimOs {
 
     /// Number of currently open descriptors — the leak metric.
     pub fn open_count(&self) -> usize {
-        self.fds.iter().filter(|s| s.is_some()).count()
+        self.fds.len() - self.free.len()
     }
 
     /// The descriptor limit.
@@ -295,6 +312,14 @@ mod tests {
         assert_eq!(os.read(fd, &mut buf).unwrap(), 0, "EOF");
         os.close(fd).unwrap();
         assert_eq!(os.open_count(), 0);
+
+        let reader = os.open_input("/tmp/a").unwrap();
+        assert_eq!(os.read(reader, &mut buf).unwrap(), 8);
+        let fd = os.open_output("/tmp/a").unwrap();
+        assert_eq!(os.file_contents("/tmp/a").unwrap(), b"", "reopen truncates");
+        os.write(fd, b"again").unwrap();
+        assert_eq!(os.file_contents("/tmp/a").unwrap(), b"again");
+        assert_eq!(os.read(reader, &mut buf).unwrap(), 0, "past the end is EOF");
     }
 
     #[test]
@@ -319,6 +344,22 @@ mod tests {
         let b = os.open_output("/b").unwrap();
         assert_eq!(a, b, "slot reuse");
         assert!(!os.is_open(Fd(99)));
+
+        // Close three out of order: they come back lowest first, before
+        // the table grows.
+        let fds: Vec<Fd> = (0..5)
+            .map(|i| os.open_output(&format!("/f{i}")).unwrap())
+            .collect();
+        assert_eq!(fds, [Fd(1), Fd(2), Fd(3), Fd(4), Fd(5)]);
+        for i in [3, 1, 2] {
+            os.close(fds[i]).unwrap();
+        }
+        assert_eq!(os.open_count(), 3);
+        let again: Vec<Fd> = (0..4)
+            .map(|i| os.open_output(&format!("/g{i}")).unwrap())
+            .collect();
+        assert_eq!(again, [Fd(2), Fd(3), Fd(4), Fd(6)]);
+        assert_eq!(os.open_count(), 7);
     }
 
     #[test]

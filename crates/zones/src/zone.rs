@@ -10,7 +10,7 @@
 
 use guardians_gc::{
     AutotuneConfig, AutotuneMode, GcConfig, Guardian as RawGuardian, Heap, Rooted, SegmentPool,
-    TraceConfig, TracedEvent, Value,
+    TraceConfig, TracedEvent, Value, FIXNUM_MAX,
 };
 use guardians_gc_api::{impl_trace, GcHeap, Guardian as TypedGuardian, Root};
 use guardians_runtime::{BlockId, ExtArena, Fd, SimOs};
@@ -196,7 +196,9 @@ impl_trace! {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Open a session: allocate its record, open its fd, malloc its
-    /// block, register it with the zone's guardian.
+    /// block, register it with the zone's guardian. An id above
+    /// `FIXNUM_MAX`, or an open that finds the zone's fd table full, is
+    /// refused: a counted no-op, like work on an unknown session.
     Open {
         /// Session id.
         session: u64,
@@ -509,10 +511,15 @@ impl Zone {
         if self.sessions.contains_key(&session) {
             return; // idempotent: the session is already live
         }
-        let fd = self
+        if session > FIXNUM_MAX as u64 {
+            return; // the id does not fit a session record: refused
+        }
+        let Ok(fd) = self
             .os
             .open_output(&format!("zone{}-s{}", self.id, session))
-            .expect("zone fd table sized for the session load");
+        else {
+            return; // the tenant's fd table is full: refused
+        };
         self.os.write(fd, b"open\n").expect("fresh fd is writable");
         let block = self.arena.malloc(64 + (session as usize % 7) * 8);
         let handle = match &mut self.backend {

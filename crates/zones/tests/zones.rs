@@ -2,7 +2,7 @@
 //! accounting, guardian-driven eviction reclamation, cross-engine
 //! identity, router determinism, and the soak harness.
 
-use guardians_gc::{AutotuneMode, SegmentPool};
+use guardians_gc::{AutotuneMode, SegmentPool, FIXNUM_MAX};
 use guardians_zones::soak::{self, SoakOp, SoakSchedule};
 use guardians_zones::{
     session_zone, Engine, Request, Zone, ZoneConfig, ZoneManager, ZoneObservables, ZoneRouter,
@@ -187,6 +187,71 @@ fn eviction_reclaims_resources_through_the_guardian() {
         assert_eq!(obs.ext_live_blocks, 10, "no block leaks");
         assert_eq!(obs.os_opens, obs.os_closes + obs.open_fds);
         zone.verify().expect("zone verifies after reclamation");
+    }
+}
+
+/// Runs `reqs` on a private zone, quiesces it and checks its heap.
+fn run_verified(config: &ZoneConfig, reqs: &[Request]) -> Zone {
+    let mut zone = Zone::new(0, config);
+    for &r in reqs {
+        zone.dispatch(r);
+    }
+    zone.quiesce();
+    zone.verify().expect("zone verifies");
+    zone
+}
+
+/// A refused open is a counted no-op: the zone's observables equal those
+/// of the solo replay without it, apart from the request count.
+fn assert_refused(got: ZoneObservables, replay: ZoneObservables, refused: u64) {
+    let want = ZoneObservables {
+        requests: replay.requests + refused,
+        ..replay
+    };
+    assert_eq!(got, want, "refused opens leave no trace");
+}
+
+#[test]
+fn open_with_a_session_id_beyond_fixnum_range_is_refused() {
+    for config in [
+        small_trigger(ZoneConfig::typed()),
+        small_trigger(ZoneConfig::scheme()),
+    ] {
+        let clean = script(12, 4);
+        let mut reqs = clean.clone();
+        for (at, session) in [(3, FIXNUM_MAX as u64 + 1), (9, u64::MAX)] {
+            reqs.insert(at, Request::Open { session });
+        }
+        let zone = run_verified(&config, &reqs);
+        assert_refused(zone.observables(), solo(0, &config, &clean), 2);
+    }
+}
+
+#[test]
+fn open_at_the_fd_limit_is_refused() {
+    for base in [ZoneConfig::typed(), ZoneConfig::scheme()] {
+        let roomy = small_trigger(base);
+        let tight = ZoneConfig {
+            fd_limit: 8,
+            ..roomy.clone()
+        };
+        // Sessions 8..12 find the table full; work on them is then a
+        // no-op, exactly as in a replay that never opened them.
+        let reqs = script(12, 4);
+        let clean: Vec<Request> = reqs
+            .iter()
+            .copied()
+            .filter(|r| !matches!(r, Request::Open { session } if *session >= 8))
+            .collect();
+        let mut zone = run_verified(&tight, &reqs);
+        assert_eq!(zone.os().stats().rejected_opens, 4);
+        assert_refused(zone.observables(), solo(0, &roomy, &clean), 4);
+
+        // Evicted sessions' fds were reclaimed, so the tenant can open
+        // again.
+        zone.dispatch(Request::Open { session: 8 });
+        assert_eq!(zone.observables().sessions_opened, 9);
+        zone.verify().expect("zone verifies after reopening");
     }
 }
 
