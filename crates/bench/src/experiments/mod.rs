@@ -8,7 +8,6 @@ pub mod e1;
 pub mod e10;
 pub mod e11;
 pub mod e12;
-pub mod e14;
 pub mod e17;
 pub mod e18;
 pub mod e19;
@@ -24,33 +23,8 @@ pub mod e7;
 pub mod e8;
 pub mod e9;
 
-/// Runs every experiment, returning the rendered tables in order.
-pub fn run_all(quick: bool) -> Vec<guardians_workloads::Table> {
-    vec![
-        e1::run(quick).0,
-        e2::run(quick).0,
-        e3::run(quick).0,
-        e4::run(quick).0,
-        e5::run(quick).0,
-        e6::run(quick).0,
-        e7::run(quick).0,
-        e8::run(quick).0,
-        e9::run(quick).0,
-        e10::run(quick).0,
-        e11::run(quick).0,
-        e12::run(quick).0,
-        e14::run(quick).0,
-        e17::run(quick).0,
-        e18::run(quick).0,
-        e19::run(quick).0,
-        e20::run(quick).0,
-        e21::run(quick).0,
-        e22::run(quick).0,
-    ]
-}
-
-/// The uniform environment footnote the measured tables carry (E11, E14,
-/// E17, E18): host parallelism plus the active collector-engine settings,
+/// The uniform environment footnote the measured tables carry (E11, E17,
+/// E18, E19): host parallelism plus the active collector-engine settings,
 /// so a table read in isolation — or consumed from `experiments --json` —
 /// records the conditions it was measured under. `workers`/`pause_budget`
 /// are the [`guardians_gc::GcConfig`] fields the run used as its

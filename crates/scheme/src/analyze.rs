@@ -20,8 +20,8 @@
 //! documented divergences are limited to *malformed* programs (the
 //! analyzer reports a syntax error at analysis time where the naive
 //! evaluator would only fail if and when the bad subform was reached) and
-//! to conditionally-executed `define`s inside bodies, which the staged
-//! evaluator allocates a slot for unconditionally.
+//! to conditionally-executed `define`s inside bodies, which the VM
+//! allocates a slot for unconditionally.
 
 use crate::error::{err, SResult};
 use crate::interp::Interp;
@@ -158,7 +158,7 @@ pub(crate) enum Code {
         /// The init expressions, evaluated in the outer environment.
         args: Vec<CodeRef>,
         /// Whether to bump the interpreter's gensym counter first (the
-        /// naive `do` desugar allocates a gensym per evaluation; staged
+        /// naive `do` desugar allocates a gensym per evaluation; the VM's
         /// `do` must keep the counter in lockstep).
         bump_gensym: bool,
     },
@@ -1324,8 +1324,8 @@ fn seq_of(mut parts: Vec<CodeRef>) -> CodeRef {
 /// `LocalRef`/`LocalSet` must address a slot strictly inside the frame
 /// `depth` levels out, and `depth` must not escape the frames the tree
 /// itself introduces. The VM compiles fixed frame layouts straight from
-/// `n_slots`, so this is the proof obligation that lets it (and the
-/// staged evaluator's debug assertions) treat slot indices as exact.
+/// `n_slots`, so this is the proof obligation that lets it treat slot
+/// indices as exact.
 ///
 /// `env` is the stack of static frame sizes, innermost last; lambdas
 /// reached through `Lambda`/`NamedLet` nodes are audited at their

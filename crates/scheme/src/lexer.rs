@@ -1,6 +1,7 @@
 //! Tokenizer for the Scheme reader.
 
 use crate::error::{err, SResult};
+use guardians_gc::{FIXNUM_MAX, FIXNUM_MIN};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,8 +207,8 @@ fn classify_atom(atom: &str) -> SResult<Token> {
             };
         }
         return match atom.parse::<i64>() {
-            Ok(n) => Ok(Token::Fixnum(n)),
-            Err(_) => err(format!("malformed number: {atom}")),
+            Ok(n) if (FIXNUM_MIN..=FIXNUM_MAX).contains(&n) => Ok(Token::Fixnum(n)),
+            _ => err(format!("malformed number: {atom}")),
         };
     }
     Ok(Token::Symbol(atom.to_string()))

@@ -240,9 +240,12 @@ fn want_num(heap: &Heap, v: Value, who: &str) -> SResult<Num> {
     }
 }
 
+/// Boxes an arithmetic result. Integer results outside the fixnum range
+/// (an i64 that fits but exceeds 61 bits) fall back to a flonum, as an
+/// i64 overflow already does.
 fn num_value(heap: &mut Heap, n: Num) -> Value {
     match n {
-        Num::Fix(i) => Value::fixnum(i),
+        Num::Fix(i) => Value::try_fixnum(i).unwrap_or_else(|| heap.make_flonum(i as f64)),
         Num::Flo(f) => heap.make_flonum(f),
     }
 }
@@ -637,10 +640,11 @@ fn p_mul(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 
 fn p_sub(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     if a.len() == 1 {
-        return match want_num(&it.heap, a[0], "-")? {
-            Num::Fix(i) => Ok(Value::fixnum(-i)),
-            Num::Flo(f) => Ok(it.heap.make_flonum(-f)),
+        let n = match want_num(&it.heap, a[0], "-")? {
+            Num::Fix(i) => Num::Fix(-i),
+            Num::Flo(f) => Num::Flo(-f),
         };
+        return Ok(num_value(&mut it.heap, n));
     }
     let first = want_num(&it.heap, a[0], "-")?;
     let mut acc = first;
@@ -689,7 +693,7 @@ fn int2(it: &Interp, a: &[Value], who: &str) -> SResult<(i64, i64)> {
 
 fn p_quotient(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     let (x, y) = int2(it, a, "quotient")?;
-    Ok(Value::fixnum(x / y))
+    Ok(num_value(&mut it.heap, Num::Fix(x / y)))
 }
 
 fn p_remainder(it: &mut Interp, a: &[Value]) -> SResult<Value> {
@@ -721,10 +725,11 @@ fn p_is_number(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 }
 
 fn p_abs(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    match want_num(&it.heap, a[0], "abs")? {
-        Num::Fix(i) => Ok(Value::fixnum(i.abs())),
-        Num::Flo(f) => Ok(it.heap.make_flonum(f.abs())),
-    }
+    let n = match want_num(&it.heap, a[0], "abs")? {
+        Num::Fix(i) => Num::Fix(i.abs()),
+        Num::Flo(f) => Num::Flo(f.abs()),
+    };
+    Ok(num_value(&mut it.heap, n))
 }
 
 fn p_min(it: &mut Interp, a: &[Value]) -> SResult<Value> {
@@ -1053,8 +1058,8 @@ fn p_make_record(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     Ok(it.heap.make_record(a[0], &a[1..]))
 }
 
-/// A fresh uninterned symbol with the given symbol's name — the staged
-/// `define-record-type` expansion's eq-unique type descriptor (the naive
+/// A fresh uninterned symbol with the given symbol's name — the
+/// analyzer's `define-record-type` expansion's eq-unique type descriptor (the naive
 /// evaluator allocates the same fresh symbol directly).
 fn p_fresh_symbol(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     if !it.heap.is_symbol(a[0]) {

@@ -33,6 +33,48 @@ fn arithmetic() {
     assert_eq!(eval("(max 3 1 4 1 5)"), "5");
     assert_eq!(eval("(min 3 1 4)"), "1");
     assert_eq!(eval("(abs -9)"), "9");
+    // The fixnum range's ends read back exactly, and an exact result
+    // stays a fixnum even via an out-of-range intermediate sum.
+    assert_eq!(eval("'-1152921504606846976"), "-1152921504606846976");
+    assert_eq!(eval("(+ 1152921504606846975 1 -1)"), "1152921504606846975");
+}
+
+/// Fixnums span 61 bits (`FIXNUM_MIN..=FIXNUM_MAX`). An exact result
+/// outside that range falls back to a flonum, and an integer literal
+/// outside it is a reader error — on both tiers, never a panic.
+#[test]
+fn fixnum_overflow_is_a_value_not_a_panic() {
+    let cases = [
+        ("(+ 1152921504606846975 1)", Ok("1152921504606846976.0")),
+        ("(* 1152921504606846975 2)", Ok("2305843009213693952.0")),
+        ("(- 0 -1152921504606846976)", Ok("1152921504606846976.0")),
+        ("(- -1152921504606846976)", Ok("1152921504606846976.0")),
+        ("(abs -1152921504606846976)", Ok("1152921504606846976.0")),
+        (
+            "(quotient -1152921504606846976 -1)",
+            Ok("1152921504606846976.0"),
+        ),
+        (
+            "'1152921504606846976",
+            Err("scheme error: malformed number: 1152921504606846976"),
+        ),
+        (
+            "'-1152921504606846977",
+            Err("scheme error: malformed number: -1152921504606846977"),
+        ),
+    ];
+    for config in [InterpConfig::naive(), InterpConfig::vm()] {
+        let mode = config.mode;
+        let mut i = Interp::with_interp_config(config);
+        for (src, want) in cases {
+            let got = i.eval_to_string(src).map_err(|e| e.to_string());
+            assert_eq!(
+                got.as_deref().map_err(String::as_str),
+                want,
+                "{mode:?}: {src}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -309,8 +351,8 @@ fn shadowing_and_scope() {
 }
 
 #[test]
-fn staged_evaluator_attributes_allocation_sites() {
-    let mut i = Interp::new();
+fn vm_attributes_sites_and_counts_dispatches() {
+    let mut i = Interp::with_interp_config(InterpConfig::vm());
     i.heap_mut().enable_site_profile();
     i.eval_str(
         "(define (build n acc)
@@ -329,7 +371,7 @@ fn staged_evaluator_attributes_allocation_sites() {
             .map(|(_, st)| st.words)
             .unwrap_or(0)
     };
-    // The conses happen while applying `cons`/`build`: App opcodes.
+    // The conses happen while applying `cons`/`build`: call insns.
     assert!(words_of("scheme.app") >= 100, "{profile:?}");
     // `let` allocates its environment frame record.
     assert!(words_of("scheme.let") > 0, "{profile:?}");
@@ -338,32 +380,6 @@ fn staged_evaluator_attributes_allocation_sites() {
     // Turned off again by take_site_profile: later evals attribute nothing.
     i.eval_str("(cons 1 2)").unwrap();
     assert!(i.heap_mut().take_site_profile().is_empty());
-}
-
-#[test]
-fn vm_attributes_sites_and_counts_dispatches() {
-    let mut i = Interp::with_interp_config(InterpConfig::vm());
-    i.heap_mut().enable_site_profile();
-    i.eval_str(
-        "(define (build n acc)
-           (if (zero? n) acc (build (- n 1) (cons n acc))))
-         (build 50 '())
-         (let ([v (make-vector 8 0)]) v)
-         `(a ,(+ 1 2))",
-    )
-    .unwrap();
-    let profile = i.heap_mut().take_site_profile();
-    let words_of = |name: &str| {
-        profile
-            .iter()
-            .find(|(s, _)| *s == name)
-            .map(|(_, st)| st.words)
-            .unwrap_or(0)
-    };
-    // Same attribution labels as the staged evaluator's `site_of`.
-    assert!(words_of("scheme.app") >= 100, "{profile:?}");
-    assert!(words_of("scheme.let") > 0, "{profile:?}");
-    assert!(words_of("scheme.quasiquote") > 0, "{profile:?}");
     // The per-opcode dispatch counters land in the metrics registry
     // (only while the tracing flag is on; off by default).
     let json = i.heap_mut().metrics_json();

@@ -1,21 +1,20 @@
 //! The scheme-differential campaign leg: the same guardian-heavy Scheme
-//! workload run under the staged (anchor) evaluator and the tier named
-//! by [`TortureConfig::interp`], on the trace's GC configuration.
+//! workload run under the naive reference evaluator (the anchor) and the
+//! bytecode VM, on the trace's GC configuration.
 //!
 //! The heap-op rig checks the *collector* against the shadow oracle;
 //! this leg checks the *evaluator tiers* against each other on top of
 //! the same collector: per-form results, error messages, and everything
-//! printed to the simulated OS must be byte-identical, and — because
-//! the bytecode compiler is pure — the VM tier must also reproduce the
-//! staged tier's deterministic heap counters exactly. The naive tier
+//! printed to the simulated OS must be byte-identical. The naive tier
 //! allocates differently by design (association-list environments), so
-//! it is compared on observables only.
+//! heap counters are not compared; the VM's exact allocation sequence is
+//! pinned by the scheme crate's pre-recorded counter goldens.
 //!
 //! The trace's `ablate_weak_pass_first` and `fail_acquisition_at` knobs
 //! are deliberately ignored here: both perturb allocation-order-derived
-//! behaviour, which differs across tiers by design for the naive leg.
+//! behaviour, which differs across tiers by design.
 
-use crate::ops::{InterpMode, TortureConfig};
+use crate::ops::TortureConfig;
 use crate::rig::Failure;
 use guardians_gc::GcConfig;
 use guardians_scheme::{EvalMode, Interp, InterpConfig};
@@ -28,33 +27,10 @@ use std::time::Duration;
 pub struct SchemeDiffStats {
     /// Top-level forms evaluated (per tier).
     pub forms: usize,
-    /// Collections the anchor tier performed.
+    /// Collections the VM run performed.
     pub collections: u64,
-    /// Successful guardian polls the anchor tier observed.
+    /// Successful guardian polls the VM run observed.
     pub polled: u64,
-}
-
-/// The deterministic (non-timing) heap counters compared between the
-/// staged anchor and the VM tier.
-#[derive(Debug, PartialEq, Eq)]
-struct Counters {
-    collections: u64,
-    pairs_allocated: u64,
-    objects_allocated: u64,
-    words_allocated: u64,
-    guardian_registrations: u64,
-    guardian_polls: u64,
-    total_words_copied: u64,
-    total_guardian_entries_visited: u64,
-    total_weak_pairs_scanned: u64,
-}
-
-fn eval_mode(m: InterpMode) -> EvalMode {
-    match m {
-        InterpMode::Naive => EvalMode::Naive,
-        InterpMode::Staged => EvalMode::Staged,
-        InterpMode::Vm => EvalMode::Vm,
-    }
 }
 
 fn gc_config(cfg: &TortureConfig) -> GcConfig {
@@ -135,10 +111,13 @@ pub fn scheme_program(seed: u64, nforms: usize) -> Vec<String> {
     forms
 }
 
+/// Per-form results (or error strings), everything printed to the
+/// simulated OS, and the tier's heap stats.
 struct TierRun {
     results: Vec<Result<String, String>>,
     output: String,
-    counters: Counters,
+    collections: u64,
+    polled: u64,
 }
 
 fn run_tier(mode: EvalMode, cfg: &TortureConfig, forms: &[String]) -> TierRun {
@@ -146,32 +125,25 @@ fn run_tier(mode: EvalMode, cfg: &TortureConfig, forms: &[String]) -> TierRun {
         gc: gc_config(cfg),
         mode,
     });
-    let mut results = Vec::with_capacity(forms.len());
-    for f in forms {
-        results.push(it.eval_to_string(f).map_err(|e| e.to_string()));
-    }
-    let s = it.heap().stats();
-    let counters = Counters {
-        collections: s.collections,
-        pairs_allocated: s.pairs_allocated,
-        objects_allocated: s.objects_allocated,
-        words_allocated: s.words_allocated,
-        guardian_registrations: s.guardian_registrations,
-        guardian_polls: s.guardian_polls,
-        total_words_copied: s.total_words_copied,
-        total_guardian_entries_visited: s.total_guardian_entries_visited,
-        total_weak_pairs_scanned: s.total_weak_pairs_scanned,
-    };
+    let results = forms
+        .iter()
+        .map(|f| it.eval_to_string(f).map_err(|e| e.to_string()))
+        .collect();
+    let (collections, polled) = (
+        it.heap().stats().collections,
+        it.heap().stats().guardian_polls,
+    );
     TierRun {
         results,
         output: it.take_output(),
-        counters,
+        collections,
+        polled,
     }
 }
 
-/// Runs the seed's Scheme workload under the staged anchor and under
-/// `cfg.interp`, comparing every observable (and, for the VM tier, the
-/// deterministic heap counters). Returns the anchor's stats on success.
+/// Runs the seed's Scheme workload under the naive anchor and under the
+/// VM, comparing every observable. Returns the VM run's stats on
+/// success.
 ///
 /// # Errors
 ///
@@ -189,46 +161,33 @@ pub fn run_scheme_differential(
         op: None,
         message,
     };
-    let anchor = run_tier(EvalMode::Staged, cfg, &forms);
-    if cfg.interp != InterpMode::Staged {
-        let subject = run_tier(eval_mode(cfg.interp), cfg, &forms);
-        for (i, (a, b)) in anchor.results.iter().zip(&subject.results).enumerate() {
-            if a != b {
-                return Err(fail(
-                    i,
-                    format!(
-                        "scheme {} tier diverged from the staged anchor on form {:?}: \
-                         {a:?} vs {b:?}",
-                        cfg.interp, forms[i]
-                    ),
-                ));
-            }
-        }
-        if anchor.output != subject.output {
+    let anchor = run_tier(EvalMode::Naive, cfg, &forms);
+    let vm = run_tier(EvalMode::Vm, cfg, &forms);
+    for (i, (a, b)) in anchor.results.iter().zip(&vm.results).enumerate() {
+        if a != b {
             return Err(fail(
-                forms.len(),
+                i,
                 format!(
-                    "scheme {} tier printed different output than the staged anchor:\n\
-                     anchor:  {:?}\nsubject: {:?}",
-                    cfg.interp, anchor.output, subject.output
-                ),
-            ));
-        }
-        if cfg.interp == InterpMode::Vm && anchor.counters != subject.counters {
-            return Err(fail(
-                forms.len(),
-                format!(
-                    "scheme vm tier's deterministic heap counters diverged from the \
-                     staged anchor:\nanchor:  {:?}\nsubject: {:?}",
-                    anchor.counters, subject.counters
+                    "scheme vm tier diverged from the naive anchor on form {:?}: {a:?} vs {b:?}",
+                    forms[i]
                 ),
             ));
         }
     }
+    if anchor.output != vm.output {
+        return Err(fail(
+            forms.len(),
+            format!(
+                "scheme vm tier printed different output than the naive anchor:\n\
+                 anchor: {:?}\nvm:     {:?}",
+                anchor.output, vm.output
+            ),
+        ));
+    }
     Ok(SchemeDiffStats {
         forms: forms.len(),
-        collections: anchor.counters.collections,
-        polled: anchor.counters.guardian_polls,
+        collections: vm.collections,
+        polled: vm.polled,
     })
 }
 
@@ -244,11 +203,8 @@ mod tests {
 
     #[test]
     fn vm_leg_agrees_on_a_small_seed() {
-        let cfg = TortureConfig {
-            interp: InterpMode::Vm,
-            ..TortureConfig::default()
-        };
-        let stats = run_scheme_differential(1, 40, &cfg).unwrap_or_else(|f| panic!("{f}"));
+        let stats = run_scheme_differential(1, 40, &TortureConfig::default())
+            .unwrap_or_else(|f| panic!("{f}"));
         assert!(stats.collections > 0, "workload exercised the collector");
         assert!(stats.polled > 0, "workload drained a guardian");
     }
